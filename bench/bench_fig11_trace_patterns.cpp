@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "common.hpp"
+#include "core/stats.hpp"
 #include "workload/trace.hpp"
 
 using namespace hotc;

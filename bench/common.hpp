@@ -53,20 +53,28 @@ inline bool write_file(const std::string& path, const std::string& content) {
 }
 
 /// The commit the bench binary's source tree was at, or "unknown" — read
-/// from .git at run time (follows one level of symbolic ref), so a stale
-/// binary over a moved tree reports the tree, which is what provenance
-/// wants.
+/// from .git at run time (follows one level of symbolic ref, loose or
+/// packed), so a stale binary over a moved tree reports the tree, which is
+/// what provenance wants.
 inline std::string git_sha() {
-  std::ifstream head(std::string(HOTC_SOURCE_DIR) + "/.git/HEAD");
+  const std::string git = std::string(HOTC_SOURCE_DIR) + "/.git/";
+  std::ifstream head(git + "HEAD");
   std::string line;
   if (!head || !std::getline(head, line)) return "unknown";
-  if (line.rfind("ref: ", 0) == 0) {
-    std::ifstream ref(std::string(HOTC_SOURCE_DIR) + "/" + line.substr(5));
-    std::string sha;
-    if (!ref || !std::getline(ref, sha)) return "unknown";
-    return sha;
+  if (line.rfind("ref: ", 0) != 0) return line;  // detached HEAD
+  const std::string ref = line.substr(5);
+  std::ifstream loose(git + ref);
+  std::string sha;
+  if (loose && std::getline(loose, sha)) return sha;
+  // A fresh clone keeps its refs in packed-refs as "<sha> <ref>" lines.
+  std::ifstream packed(git + "packed-refs");
+  while (std::getline(packed, line)) {
+    const auto space = line.find(' ');
+    if (space != std::string::npos && line.substr(space + 1) == ref) {
+      return line.substr(0, space);
+    }
   }
-  return line;
+  return "unknown";
 }
 
 /// Host/build provenance block, embedded verbatim in every BENCH_*.json:

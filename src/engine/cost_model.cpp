@@ -207,4 +207,12 @@ Duration CostModel::restore_time(Bytes image_size,
          scale(milliseconds(25), host_.syscall_factor);
 }
 
+CheckpointEstimate CostModel::checkpoint_estimate(
+    Bytes resident, const spec::RunSpec& spec) const {
+  CheckpointEstimate est;
+  est.image_size = resident + mib(2);  // page dump + metadata
+  est.restore = restore_time(est.image_size, spec);
+  return est;
+}
+
 }  // namespace hotc::engine

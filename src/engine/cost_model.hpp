@@ -43,6 +43,13 @@ struct StartupBreakdown {
   }
 };
 
+/// What checkpointing a container produces: the on-disk image and the
+/// modelled restore of that image (CostModel::checkpoint_estimate).
+struct CheckpointEstimate {
+  Bytes image_size = 0;
+  Duration restore = kZeroDuration;
+};
+
 class CostModel {
  public:
   explicit CostModel(HostProfile host) : host_(std::move(host)) {}
@@ -117,6 +124,13 @@ class CostModel {
   /// the image back.
   [[nodiscard]] Duration restore_time(Bytes image_size,
                                       const spec::RunSpec& spec) const;
+
+  /// Checkpoint of a container holding `resident` idle bytes: the image is
+  /// the page dump plus ~2 MiB of metadata, and restoring it costs
+  /// restore_time(image).  The one definition behind
+  /// ContainerEngine::demote and both drivers' demotion decisions.
+  [[nodiscard]] CheckpointEstimate checkpoint_estimate(
+      Bytes resident, const spec::RunSpec& spec) const;
 
  private:
   HostProfile host_;

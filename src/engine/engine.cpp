@@ -453,90 +453,6 @@ void ContainerEngine::resume(ContainerId id, DoneCallback cb) {
   });
 }
 
-void ContainerEngine::checkpoint(ContainerId id, CheckpointCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
-    cb(make_error<CheckpointId>("engine.unknown_container",
-                                "no container " + std::to_string(id)));
-    return;
-  }
-  Container& c = it->second;
-  if (c.state != ContainerState::kIdle) {
-    cb(make_error<CheckpointId>("engine.not_checkpointable",
-                                "container " + std::to_string(id) + " is " +
-                                    to_string(c.state)));
-    return;
-  }
-  // The dump contains the idle process image plus warm application state
-  // (loaded model, JIT caches) — which is why restores start warm.
-  CheckpointImage img;
-  img.spec = c.spec;
-  img.image = c.image;
-  img.warm_app = c.warm_app;
-  img.size = c.idle_memory + mib(2);  // page dump + metadata
-  const CheckpointId ckpt_id = next_checkpoint_id_++;
-  const Duration d = cost_.checkpoint_time(c.idle_memory);
-  sim_.after(d, [this, ckpt_id, img = std::move(img), cb]() mutable {
-    checkpoints_.emplace(ckpt_id, std::move(img));
-    cb(ckpt_id);
-  });
-}
-
-void ContainerEngine::restore(CheckpointId checkpoint, LaunchCallback cb) {
-  const auto it = checkpoints_.find(checkpoint);
-  if (it == checkpoints_.end()) {
-    cb(make_error<LaunchReport>("engine.unknown_checkpoint",
-                                "no checkpoint " +
-                                    std::to_string(checkpoint)));
-    return;
-  }
-  const CheckpointImage& img = it->second;
-  if (memory_.free() < img.image.base_memory) {
-    cb(make_error<LaunchReport>("engine.out_of_memory",
-                                "host cannot hold the restored container"));
-    return;
-  }
-  auto endpoint = network_.provision(img.spec.network);
-  if (!endpoint.ok()) {
-    cb(Result<LaunchReport>(endpoint.error()));
-    return;
-  }
-
-  const ContainerId id = next_id_++;
-  Container c;
-  c.id = id;
-  c.spec = img.spec;
-  c.key = spec::RuntimeKey::from_spec(img.spec);
-  c.image = img.image;
-  c.state = ContainerState::kProvisioning;
-  c.endpoint = endpoint.value().id;
-  c.volume = volumes_.create().id;
-  c.created_at = sim_.now();
-  c.last_used = sim_.now();
-  c.idle_memory = img.image.base_memory;
-  c.warm_app = img.warm_app;  // restored process state is warm
-  reserve_or_swap(c.idle_memory);
-  containers_[id] = c;
-  ++launches_;
-
-  const Duration d = cost_.restore_time(img.size, img.spec);
-  StartupBreakdown breakdown;  // restore is a single "attach"-like phase
-  breakdown.attach = d;
-  sim_.after(d, [this, id, breakdown, cb]() {
-    auto inner = containers_.find(id);
-    HOTC_ASSERT(inner != containers_.end());
-    set_state(inner->second, ContainerState::kIdle);
-    LaunchReport report;
-    report.container = id;
-    report.breakdown = breakdown;
-    cb(report);
-  });
-}
-
-bool ContainerEngine::drop_checkpoint(CheckpointId checkpoint) {
-  return checkpoints_.erase(checkpoint) > 0;
-}
-
 void ContainerEngine::demote(ContainerId id, DemoteCallback cb) {
   auto it = containers_.find(id);
   if (it == containers_.end()) {
@@ -556,7 +472,8 @@ void ContainerEngine::demote(ContainerId id, DemoteCallback cb) {
   // volume metadata stays (~zero idle memory, the tier's whole point).
   c.checkpoint_released = c.idle_memory;
   release_memory(c.checkpoint_released);
-  c.checkpoint_image = c.idle_memory + mib(2);  // page dump + metadata
+  c.checkpoint_image =
+      cost_.checkpoint_estimate(c.idle_memory, c.spec).image_size;
   DemoteReport report;
   report.container = id;
   report.image_size = c.checkpoint_image;
@@ -641,15 +558,6 @@ Bytes ContainerEngine::checkpointed_disk_used() const {
   for (const auto& [id, c] : containers_) {
     (void)id;
     if (c.state == ContainerState::kCheckpointed) total += c.checkpoint_image;
-  }
-  return total;
-}
-
-Bytes ContainerEngine::checkpoint_disk_used() const {
-  Bytes total = 0;
-  for (const auto& [id, img] : checkpoints_) {
-    (void)id;
-    total += img.size;
   }
   return total;
 }

@@ -133,26 +133,6 @@ class ContainerEngine {
   /// Thaw a Paused container back to Idle, faulting its pages back in.
   void resume(ContainerId id, DoneCallback cb);
 
-  /// CRIU-style checkpoint: dump an Idle container's warm process state to
-  /// disk.  The container keeps running; the checkpoint outlives it and
-  /// can later be restored into a brand-new container that starts warm.
-  using CheckpointId = std::uint64_t;
-  using CheckpointCallback = std::function<void(Result<CheckpointId>)>;
-  void checkpoint(ContainerId id, CheckpointCallback cb);
-
-  /// Restore a checkpoint into a new Idle container.  Cheaper than a cold
-  /// launch (no pull, no runtime/app init — the process state is in the
-  /// image) but slower than reusing a live pooled container.
-  void restore(CheckpointId checkpoint, LaunchCallback cb);
-
-  /// Drop a checkpoint image from disk.
-  bool drop_checkpoint(CheckpointId checkpoint);
-
-  [[nodiscard]] std::size_t checkpoint_count() const {
-    return checkpoints_.size();
-  }
-  [[nodiscard]] Bytes checkpoint_disk_used() const;
-
   /// What one demote() cost and produced.
   struct DemoteReport {
     ContainerId container = 0;
@@ -164,9 +144,8 @@ class ContainerEngine {
   /// Tiered warm state (DESIGN.md §16): dump an Idle container to disk *in
   /// place*.  The container keeps its id, endpoint and volume, transitions
   /// Idle -> Checkpointed, and gives back its resident memory (~zero RAM
-  /// while demoted).  Unlike checkpoint()/restore(), which clone state
-  /// into a brand-new container, demote/restore_container is the consuming
-  /// middle tier the snapshot::CheckpointStore manages.
+  /// while demoted).  demote/restore_container is the consuming middle tier
+  /// the snapshot::CheckpointStore manages.
   void demote(ContainerId id, DemoteCallback cb);
 
   /// Fault a demoted container's image back in: Checkpointed -> Idle, the
@@ -273,15 +252,6 @@ class ContainerEngine {
   Rng fault_rng_{99};
   std::uint64_t launch_failures_ = 0;
   std::uint64_t exec_crashes_ = 0;
-
-  struct CheckpointImage {
-    spec::RunSpec spec;
-    Image image;
-    std::string warm_app;
-    Bytes size = 0;  // on-disk dump size
-  };
-  std::map<CheckpointId, CheckpointImage> checkpoints_;
-  CheckpointId next_checkpoint_id_ = 1;
 
   /// Multi-host networks already created on this node (first overlay pays
   /// the create cost, later ones attach).

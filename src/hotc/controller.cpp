@@ -26,8 +26,7 @@ HotCController::HotCController(engine::ContainerEngine& engine,
     : engine_(engine),
       sim_(engine.simulator()),
       options_(std::move(options)),
-      pool_(options_.limits),
-      rng_(options_.rng_seed) {
+      pool_(options_.limits) {
   HOTC_ASSERT(options_.predictor_factory != nullptr);
   if (options_.enable_sharing) {
     donors_ = std::make_unique<share::DonorRegistry>();
@@ -192,9 +191,8 @@ void HotCController::provision_cold(const spec::RunSpec& spec,
   enforce_pressure();  // make room before allocating a new runtime
 
   // Tiered warm state: a demoted runtime parked in the checkpoint store
-  // beats both the legacy clone-restore and a full cold boot — the restore
-  // is consuming, so the conservation ledger sees demotes == restores +
-  // evictions + still-stored.
+  // beats a full cold boot — the restore is consuming, so the conservation
+  // ledger sees demotes == restores + evictions + still-stored.
   if (store_ != nullptr) {
     const auto snap = store_->take(key.id(), sim_.now());
     if (snap.has_value()) {
@@ -242,19 +240,11 @@ void HotCController::launch_cold(const spec::RunSpec& spec,
                                  const spec::RuntimeKey& key,
                                  TimePoint arrival, std::uint64_t trace_id,
                                  Callback cb) {
-  // Checkpoint/restore extension: a retired runtime's dump beats a full
-  // cold boot when one exists for this key.
-  const auto ckpt = checkpoints_.find(key.id());
-  const bool restoring =
-      options_.use_checkpoint_restore && ckpt != checkpoints_.end();
-
-  auto on_provisioned = [this, key, spec, app, arrival, restoring, trace_id,
-                         cb = std::move(cb)](
-                            Result<engine::LaunchReport> r) {
-    const obs::Stage stage =
-        restoring ? obs::Stage::kRestore : obs::Stage::kColdStart;
+  engine_.launch(spec, [this, key, spec, app, arrival, trace_id,
+                        cb = std::move(cb)](Result<engine::LaunchReport> r) {
     if (!r.ok()) {
-      emit_span(trace_id, stage, arrival, sim_.now() - arrival, key.hash(),
+      emit_span(trace_id, obs::Stage::kColdStart, arrival,
+                sim_.now() - arrival, key.hash(),
                 obs::kSpanCold | obs::kSpanError);
       auto it = keys_.find(key.id());
       if (it != keys_.end() && it->second.busy_now > 0) {
@@ -263,23 +253,16 @@ void HotCController::launch_cold(const spec::RunSpec& spec,
       cb(Result<RequestOutcome>(r.error()));
       return;
     }
-    if (restoring) ++stats_.restores;
     stats_.cold_start_seconds += to_seconds(r.value().breakdown.total());
-    emit_span(trace_id, stage, arrival, r.value().breakdown.total(),
-              key.hash(), obs::kSpanCold);
+    emit_span(trace_id, obs::Stage::kColdStart, arrival,
+              r.value().breakdown.total(), key.hash(), obs::kSpanCold);
     pool::PoolEntry fresh;
     fresh.id = r.value().container;
     fresh.key = key;
     fresh.created_at = sim_.now();
     run_on(fresh, spec, app, /*was_prewarmed=*/false,
-           r.value().breakdown.total(), arrival, trace_id, cb,
-           /*was_resumed=*/false, /*was_restored=*/restoring);
-  };
-  if (restoring) {
-    engine_.restore(ckpt->second, std::move(on_provisioned));
-  } else {
-    engine_.launch(spec, std::move(on_provisioned));
-  }
+           r.value().breakdown.total(), arrival, trace_id, cb);
+  });
 }
 
 bool HotCController::try_donor(const spec::RunSpec& spec,
@@ -530,41 +513,26 @@ void HotCController::retire_entry(const pool::PoolEntry& entry,
     (pressure ? obs_.evictions : obs_.retires)->inc();
   }
   notify_pool_change(entry.key);
-  // Checkpoint/restore extension: dump the warm state before losing it
-  // (first retirement per key only — the image stays valid thereafter).
-  // A Paused container must skip the dump: the engine checkpoints Idle.
-  if (options_.use_checkpoint_restore && !entry.paused &&
-      checkpoints_.find(entry.key.id()) == checkpoints_.end()) {
-    ++stats_.checkpoints;
-    engine_.checkpoint(
-        entry.id,
-        [this, entry](Result<engine::ContainerEngine::CheckpointId> r) {
-          if (r.ok()) checkpoints_[entry.key.id()] = r.value();
-          engine_.stop_and_remove(entry.id, [](Result<bool>) {});
-        });
-    return;
-  }
   engine_.stop_and_remove(entry.id, [](Result<bool>) {});
 }
 
 bool HotCController::demote_entry(const pool::PoolEntry& entry,
                                   bool pressure) {
-  // Gate first (no side effects): demote only when the modelled restore is
-  // decisively cheaper than the cold start it would replace and the
-  // snapshot could ever fit the disk budget.
+  // Gate first (no side effects): snapshot::worth_demoting.
   const auto state_it = keys_.find(entry.key.id());
   const engine::Container* c = engine_.find(entry.id);
   if (state_it == keys_.end() || c == nullptr) return false;
   const spec::RunSpec& spec = state_it->second.canonical_spec;
-  const Bytes image_estimate = c->idle_memory + mib(2);
-  const double cold_s =
-      to_seconds(engine_.estimate_startup(spec).total());
-  const double restore_s =
-      to_seconds(engine_.cost_model().restore_time(image_estimate, spec));
-  if (!snapshot::gate_passes(restore_s, cold_s, options_.tiering.alpha) ||
-      image_estimate > store_->capacity_bytes()) {
-    return false;
-  }
+  const engine::CheckpointEstimate ckpt =
+      engine_.cost_model().checkpoint_estimate(c->idle_memory, spec);
+  snapshot::SnapshotMeta meta;
+  meta.key = entry.key.id();
+  meta.tenant = snapshot::tenant_of(spec);
+  meta.container = entry.id;
+  meta.bytes = ckpt.image_size;
+  meta.restore_estimate_s = to_seconds(ckpt.restore);
+  meta.cold_estimate_s = to_seconds(engine_.estimate_startup(spec).total());
+  if (!snapshot::worth_demoting(meta, options_.tiering)) return false;
 
   if (!pool_.remove_for_checkpoint(entry.key, entry.id)) {
     return true;  // raced with acquire; nothing left to retire
@@ -577,11 +545,10 @@ bool HotCController::demote_entry(const pool::PoolEntry& entry,
 
   ++stats_.checkpoints;
   const TimePoint demote_start = sim_.now();
-  const std::uint64_t tenant = snapshot::tenant_of(spec);
   engine_.demote(
       entry.id,
-      [this, entry, tenant, restore_s, cold_s,
-       demote_start](Result<engine::ContainerEngine::DemoteReport> r) {
+      [this, entry, meta,
+       demote_start](Result<engine::ContainerEngine::DemoteReport> r) mutable {
         if (!r.ok()) {
           emit_span(0, obs::Stage::kCheckpoint, demote_start,
                     sim_.now() - demote_start, entry.key.hash(),
@@ -595,14 +562,7 @@ bool HotCController::demote_entry(const pool::PoolEntry& entry,
           obs_.snapshot_checkpoint_ms->observe(
               to_milliseconds(r.value().duration));
         }
-        snapshot::SnapshotMeta meta;
-        meta.key = entry.key.id();
-        meta.tenant = tenant;
-        meta.container = entry.id;
-        meta.bytes = r.value().image_size;
         meta.created_at = sim_.now();
-        meta.restore_estimate_s = restore_s;
-        meta.cold_estimate_s = cold_s;
         const auto admitted = store_->admit(meta, sim_.now());
         discard_snapshots(admitted.evicted);
         if (!admitted.accepted) {

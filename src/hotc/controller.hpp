@@ -60,15 +60,11 @@ struct ControllerOptions {
   /// most of their memory footprint for a page-fault resume latency on
   /// the next hit.  An extension over the paper (Docker pause).
   Duration pause_idle_after = kZeroDuration;
-  /// CRIU-style checkpoint/restore (the Replayable-Execution [34] idea):
-  /// when the adaptive loop retires a runtime, dump its warm state first;
-  /// later misses for that key restore the dump instead of cold-starting.
-  bool use_checkpoint_restore = false;
-  /// Tiered warm state (DESIGN.md §16): retire/evict victims that pass the
-  /// economic gate are demoted *in place* into a capacity-bounded
+  /// Tiered warm state (DESIGN.md §16), CRIU-style checkpoint/restore
+  /// (the Replayable-Execution [34] idea): retire/evict victims that pass
+  /// the economic gate are demoted *in place* into a capacity-bounded
   /// checkpoint store instead of being destroyed, and the miss path tries
-  /// a consuming restore before paying a full cold start.  Orthogonal to
-  /// the legacy once-per-key `use_checkpoint_restore` clone flow.
+  /// a consuming restore before paying a full cold start.
   snapshot::TieringOptions tiering;
   /// Use the subset key (paper §VII extension): env/volumes/command are
   /// re-applied rather than part of the key.
@@ -84,7 +80,6 @@ struct ControllerOptions {
   PredictorFactory predictor_factory = [] {
     return std::make_unique<predict::HybridPredictor>();
   };
-  std::uint64_t rng_seed = 1234;
   /// Observability hooks, both optional.  The tracer receives lifecycle
   /// spans (parse, pool lookup, cold start vs reuse, exec, clean,
   /// readmit...); the registry receives controller metrics (prediction
@@ -254,9 +249,9 @@ class HotCController {
   /// Stop an idle pooled container (bookkeeping + engine teardown).
   void retire_entry(const pool::PoolEntry& entry, bool pressure);
 
-  /// Tiering demotion: if the entry passes the economic gate
-  /// (restore_estimate ≤ α × cold_estimate), move it out of the pool and
-  /// into the checkpoint store instead of destroying it.  Returns true if
+  /// Tiering demotion: if snapshot::worth_demoting says the entry pays
+  /// for its snapshot, move it out of the pool and into the checkpoint
+  /// store instead of destroying it.  Returns true if
   /// the entry was taken over (demoted, or lost to a racing acquire);
   /// false leaves it for the ordinary retire teardown.
   bool demote_entry(const pool::PoolEntry& entry, bool pressure);
@@ -274,15 +269,15 @@ class HotCController {
               bool was_restored = false, bool was_respecialized = false);
 
   /// The cold tail of the miss path: enforce pressure, then restore from
-  /// the snapshot tier when possible, else launch (or clone-restore from a
-  /// legacy checkpoint).  Counts one true cold start.
+  /// the snapshot tier when possible, else launch.  Counts one true cold
+  /// start.
   void provision_cold(const spec::RunSpec& spec, const engine::AppModel& app,
                       const spec::RuntimeKey& key, TimePoint arrival,
                       std::uint64_t trace_id, Callback cb);
 
-  /// The launch-or-legacy-restore tail of provision_cold (also the
-  /// fallback when a snapshot-tier restore loses its container).  The
-  /// caller has already counted the cold start.
+  /// The launch tail of provision_cold (also the fallback when a
+  /// snapshot-tier restore loses its container).  The caller has already
+  /// counted the cold start.
   void launch_cold(const spec::RunSpec& spec, const engine::AppModel& app,
                    const spec::RuntimeKey& key, TimePoint arrival,
                    std::uint64_t trace_id, Callback cb);
@@ -333,7 +328,9 @@ class HotCController {
   /// Single-writer: every mutation happens on the simulator thread (the
   /// sharded wrapper is the concurrent façade; see pool/sharded_pool.hpp).
   pool::RuntimePool pool_ HOTC_CALLER_SERIALIZED;
-  Rng rng_;
+  /// Victim stream for EvictionPolicy::kRandom; fixed seed so seeded
+  /// runs stay deterministic.
+  Rng rng_{1234};
   ControllerStats stats_;
   Instruments obs_;
   /// Per-key state, keyed on the interned KeyId (no string storage per
@@ -341,10 +338,6 @@ class HotCController {
   /// iteration order, so adaptive ticks visit keys in the same sequence
   /// the RuntimeKey-keyed map produced.
   std::map<spec::KeyId, KeyState, spec::InternTextLess> keys_;
-  /// One checkpoint image per runtime key (newest wins).
-  std::map<spec::KeyId, engine::ContainerEngine::CheckpointId,
-           spec::InternTextLess>
-      checkpoints_;
   std::function<void(const spec::RuntimeKey&)> pool_listener_;
   /// Cross-key sharing collaborators; both null unless enable_sharing.
   std::unique_ptr<share::DonorRegistry> donors_;

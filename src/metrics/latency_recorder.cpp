@@ -1,5 +1,7 @@
 #include "metrics/latency_recorder.hpp"
 
+#include "core/stats.hpp"
+
 namespace hotc::metrics {
 namespace {
 
@@ -36,39 +38,8 @@ LatencySummary summarize(const std::vector<LatencyPoint>& points) {
 
 }  // namespace
 
-LatencyRecorder::LatencyRecorder(bool streaming_quantiles) {
-  if (streaming_quantiles) {
-    hist_ = std::make_unique<obs::LogHistogram>();
-  }
-}
-
-void LatencyRecorder::add(const LatencyPoint& point) {
-  points_.push_back(point);
-  if (hist_ != nullptr) {
-    const double ms = to_milliseconds(point.latency);
-    all_.add(ms);
-    (point.cold ? cold_ : warm_).add(ms);
-    hist_->observe(ms);
-  }
-}
-
 LatencySummary LatencyRecorder::summary() const {
-  if (hist_ == nullptr) return summarize(points_);
-  LatencySummary s;
-  if (points_.empty()) return s;
-  const obs::HistogramSnapshot snap = hist_->snapshot();
-  s.count = all_.count();
-  s.cold_count = cold_.count();
-  s.mean_ms = all_.mean();
-  s.min_ms = all_.min();
-  s.max_ms = all_.max();
-  s.p50_ms = snap.quantile(0.50);
-  s.p90_ms = snap.quantile(0.90);
-  s.p99_ms = snap.quantile(0.99);
-  s.p999_ms = snap.quantile(0.999);
-  s.cold_mean_ms = cold_.mean();
-  s.warm_mean_ms = warm_.mean();
-  return s;
+  return summarize(points_);
 }
 
 std::vector<double> LatencyRecorder::latencies_ms() const {
@@ -85,14 +56,6 @@ LatencySummary LatencyRecorder::summary_between(TimePoint from,
     if (p.arrival >= from && p.arrival < to) filtered.push_back(p);
   }
   return summarize(filtered);
-}
-
-void LatencyRecorder::clear() {
-  points_.clear();
-  if (hist_ != nullptr) hist_ = std::make_unique<obs::LogHistogram>();
-  all_.reset();
-  cold_.reset();
-  warm_.reset();
 }
 
 }  // namespace hotc::metrics

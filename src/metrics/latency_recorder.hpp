@@ -2,13 +2,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/stats.hpp"
 #include "core/time.hpp"
-#include "obs/metrics.hpp"
 
 namespace hotc::metrics {
 
@@ -44,17 +41,7 @@ class LatencyRecorder {
  public:
   LatencyRecorder() = default;
 
-  /// Streaming-quantile mode: summary() answers p50/p90/p99/p99.9 from a
-  /// log-scale histogram maintained incrementally on add() — O(buckets)
-  /// per summary, relative error bounded by obs::LogHistogram::kWidth —
-  /// instead of sorting the full point vector on every call.  Mean, min,
-  /// max and the cold/warm splits stay exact (streaming moments).  The
-  /// points are still stored, so latencies_ms() / summary_between() work
-  /// unchanged (the latter sorts its filtered subset; a windowed
-  /// histogram cannot answer arbitrary ranges).
-  explicit LatencyRecorder(bool streaming_quantiles);
-
-  void add(const LatencyPoint& point);
+  void add(const LatencyPoint& point) { points_.push_back(point); }
   [[nodiscard]] const std::vector<LatencyPoint>& points() const {
     return points_;
   }
@@ -70,19 +57,10 @@ class LatencyRecorder {
   [[nodiscard]] LatencySummary summary_between(TimePoint from,
                                                TimePoint to) const;
 
-  [[nodiscard]] bool streaming_quantiles() const { return hist_ != nullptr; }
-
-  void clear();
+  void clear() { points_.clear(); }
 
  private:
   std::vector<LatencyPoint> points_;
-  /// Streaming-mode state; null in the default (exact-sort) mode.  The
-  /// histogram lives behind a pointer because its atomics make it
-  /// immovable, and recorders are returned by value from run drivers.
-  std::unique_ptr<obs::LogHistogram> hist_;
-  RunningStats all_;
-  RunningStats cold_;
-  RunningStats warm_;
 };
 
 }  // namespace hotc::metrics

@@ -25,7 +25,7 @@ RealHotC::RealHotC(RealOptions options)
     : options_(options),
       cost_(options.host),
       pool_(options.worker_threads),
-      warm_(warm_limits(options), options.pool_shards),
+      warm_(warm_limits(options)),
       snapshots_(options.tiering.store),
       costs_mu_(LockRank::kSnapshotStore, 0x10000, "runtime.tiercosts") {}
 
@@ -51,25 +51,27 @@ void RealHotC::trim_warm() {
 void RealHotC::record_costs(const spec::RuntimeKey& key,
                             const spec::RunSpec& spec,
                             const engine::Image& image, Duration cold_total) {
-  KeyCosts kc;
-  // Mirror the engine's checkpoint model: the image is the idle resident
-  // set plus ~2 MiB of dump metadata.
-  kc.image_bytes = image.base_memory + mib(2);
-  kc.cold_s = to_seconds(cold_total);
-  kc.restore_s = to_seconds(cost_.restore_time(kc.image_bytes, spec));
-  kc.tenant = snapshot::tenant_of(spec);
+  // A fresh runtime's idle resident set is its image's base memory.
+  const engine::CheckpointEstimate ckpt =
+      cost_.checkpoint_estimate(image.base_memory, spec);
+  snapshot::SnapshotMeta meta;
+  meta.key = key.id();
+  meta.tenant = snapshot::tenant_of(spec);
+  meta.bytes = ckpt.image_size;
+  meta.restore_estimate_s = to_seconds(ckpt.restore);
+  meta.cold_estimate_s = to_seconds(cold_total);
   const RankedGuard lock(costs_mu_);
   const std::uint32_t slot = cost_index_.find(key.id());
   if (slot != IdSlotMap::kNotFound) {
-    costs_[slot] = kc;
+    costs_[slot] = meta;
     return;
   }
   // hot-path-alloc: allow — table growth, once per distinct key
-  costs_.push_back(kc);
+  costs_.push_back(meta);
   cost_index_.insert(key.id(), static_cast<std::uint32_t>(costs_.size() - 1));
 }
 
-std::optional<RealHotC::KeyCosts> RealHotC::costs_for(
+std::optional<snapshot::SnapshotMeta> RealHotC::costs_for(
     spec::KeyId key) const {
   const RankedGuard lock(costs_mu_);
   const std::uint32_t slot = cost_index_.find(key);
@@ -78,31 +80,22 @@ std::optional<RealHotC::KeyCosts> RealHotC::costs_for(
 }
 
 bool RealHotC::demote_victim(const pool::PoolEntry& victim) {
-  const auto costs = costs_for(victim.key.id());
-  if (!costs.has_value()) return false;
-  if (!snapshot::gate_passes(costs->restore_s, costs->cold_s,
-                             options_.tiering.alpha)) {
+  auto meta = costs_for(victim.key.id());
+  if (!meta.has_value() || !snapshot::worth_demoting(*meta, options_.tiering)) {
     return false;
   }
-  if (costs->image_bytes > snapshots_.capacity_bytes()) return false;
   // The ledger flow: remove_for_checkpoint counts the demotion as a
   // checkpointed removal (checkpointed ⊆ removed).  A racing worker may
   // have claimed the victim already — the caller just re-selects.
   if (!warm_.remove_for_checkpoint(victim.key, victim.id)) return false;
   const obs::StageScope stage(obs::Stage::kCheckpoint);
-  snapshot::SnapshotMeta meta;
-  meta.key = victim.key.id();
-  meta.tenant = costs->tenant;
-  meta.container = victim.id;
-  meta.bytes = costs->image_bytes;
-  meta.created_at = wall_now();
-  meta.last_access = meta.created_at;
-  meta.restore_estimate_s = costs->restore_s;
-  meta.cold_estimate_s = costs->cold_s;
+  meta->container = victim.id;
+  meta->created_at = wall_now();
+  meta->last_access = meta->created_at;
   // Store-side evictions are purely modelled here (no engine images to
   // discard); a rejected admit still evicted the victim from the warm
   // set, which is what trim_warm needed.
-  snapshots_.admit(meta, wall_now());
+  snapshots_.admit(*meta, wall_now());
   return true;
 }
 

@@ -46,8 +46,6 @@ struct RealOptions {
   double cold_start_scale = 0.01;
   /// Maximum warm runtimes kept alive across all keys (0 = never pool).
   std::size_t max_warm = 64;
-  /// Lock stripes for the warm set; 0 = hardware_concurrency().
-  std::size_t pool_shards = 0;
   /// Cross-key sharing: on a miss, convert an idle compatible sibling
   /// (same image / isolation shape, different env) instead of paying the
   /// full cold start.  Off by default — exact-match semantics unchanged.
@@ -126,23 +124,19 @@ class RealHotC {
   /// into the snapshot store instead of being dropped.
   void trim_warm();
 
-  /// Per-key tiering economics, captured at submit time (the only point
+  /// Per-key demotion estimates, captured at submit time (the only point
   /// where the spec is in scope; trim victims arrive as bare pool
-  /// entries).  All fields derive deterministically from the canonical
-  /// spec, so last-writer-wins refresh is idempotent.
-  struct KeyCosts {
-    Bytes image_bytes = 0;   // modelled checkpoint image size
-    double cold_s = 0.0;     // full cold start, seconds
-    double restore_s = 0.0;  // checkpoint restore, seconds
-    std::uint64_t tenant = 0;
-  };
+  /// entries) as a SnapshotMeta template whose container and timestamps
+  /// are filled in at demotion.  Every field derives deterministically
+  /// from the canonical spec, so last-writer-wins refresh is idempotent.
   void record_costs(const spec::RuntimeKey& key, const spec::RunSpec& spec,
                     const engine::Image& image, Duration cold_total);
-  [[nodiscard]] std::optional<KeyCosts> costs_for(spec::KeyId key) const;
+  [[nodiscard]] std::optional<snapshot::SnapshotMeta> costs_for(
+      spec::KeyId key) const;
 
   /// Demote one trim victim into the snapshot store.  Returns false when
-  /// the economic gate fails (caller falls back to a plain eviction) or
-  /// the victim was claimed by a racing worker.
+  /// snapshot::worth_demoting says no (caller falls back to a plain
+  /// eviction) or the victim was claimed by a racing worker.
   bool demote_victim(const pool::PoolEntry& victim);
 
   RealOptions options_;
@@ -155,12 +149,12 @@ class RealHotC {
   /// The disk-resident middle tier (always constructed; empty and idle
   /// unless options_.tiering.enabled routes traffic through it).
   snapshot::CheckpointStore snapshots_;
-  /// Guards the key -> KeyCosts table.  Band 55 with a sequence past any
-  /// store stripe; held only for the copy-in/copy-out, never across a
-  /// pool or store call.
+  /// Guards the key -> demotion-estimate table.  Band 55 with a sequence
+  /// past any store stripe; held only for the copy-in/copy-out, never
+  /// across a pool or store call.
   mutable RankedMutex costs_mu_;
   IdSlotMap cost_index_ HOTC_GUARDED_BY(costs_mu_);  // KeyId -> costs_ slot
-  std::vector<KeyCosts> costs_ HOTC_GUARDED_BY(costs_mu_);
+  std::vector<snapshot::SnapshotMeta> costs_ HOTC_GUARDED_BY(costs_mu_);
   std::atomic<engine::ContainerId> next_runtime_id_{1};
   std::atomic<std::uint64_t> cold_starts_{0};
   std::atomic<std::uint64_t> reuses_{0};

@@ -1,6 +1,9 @@
 #include "scenario/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <string_view>
 
 #include "predict/hybrid.hpp"
 #include "predict/meta.hpp"
@@ -153,7 +156,24 @@ namespace {
                                          "unknown mix kind: " + kind);
 }
 
+// Every key apply_hotc_options reads; any other key in the "hotc" object
+// is a typo or a stale option and is rejected rather than ignored.
+constexpr std::string_view kHotcKeys[] = {
+    "max_live", "memory_threshold", "prewarm", "retire", "subset_key",
+    "sharing", "share_max_cost_ratio", "adaptive_interval_seconds",
+    "pause_idle_minutes", "tiering", "tiering_alpha",
+    "snapshot_capacity_mb", "snapshot_per_tenant_mb", "alpha", "predictor"};
+
 [[nodiscard]] Result<bool> apply_hotc_options(const Json& h, ControllerOptions& opt) {
+  if (h.is_object()) {
+    for (const auto& field : h.as_object()) {
+      if (std::find(std::begin(kHotcKeys), std::end(kHotcKeys),
+                    field.first) == std::end(kHotcKeys)) {
+        return make_error<bool>("scenario.unknown_option",
+                                "unknown hotc option: " + field.first);
+      }
+    }
+  }
   if (h["max_live"].is_number()) {
     opt.limits.max_live =
         static_cast<std::size_t>(h["max_live"].as_number());

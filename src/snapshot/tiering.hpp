@@ -15,8 +15,7 @@
 namespace hotc::snapshot {
 
 struct TieringOptions {
-  /// Master switch; the controller's demote/restore branches are inert
-  /// when false (legacy `use_checkpoint_restore` is unaffected either way).
+  /// Master switch; the demote/restore branches are inert when false.
   bool enabled = false;
   /// Economic gate: demote only when restore_estimate ≤ alpha × cold_estimate.
   double alpha = 0.5;
@@ -32,12 +31,16 @@ inline std::uint64_t tenant_of(const spec::RunSpec& spec) {
   return spec::fnv1a(spec.image.name);
 }
 
-/// The economic gate, shared by the simulated controller and RealHotC so
-/// both tiers demote under exactly the same rule.
-constexpr bool gate_passes(double restore_estimate_s, double cold_estimate_s,
-                           double alpha) {
-  return cold_estimate_s > 0.0 &&
-         restore_estimate_s <= alpha * cold_estimate_s;
+/// The demotion decision, defined once for the simulated controller and
+/// RealHotC: demote only when the modelled restore is decisively cheaper
+/// than the cold start it would replace (restore ≤ α × cold) and the image
+/// could ever fit the store's disk budget.  `meta` carries the estimates
+/// (bytes, restore_estimate_s, cold_estimate_s).
+inline bool worth_demoting(const SnapshotMeta& meta,
+                           const TieringOptions& tiering) {
+  return meta.cold_estimate_s > 0.0 &&
+         meta.restore_estimate_s <= tiering.alpha * meta.cold_estimate_s &&
+         meta.bytes <= tiering.store.capacity_bytes;
 }
 
 }  // namespace hotc::snapshot

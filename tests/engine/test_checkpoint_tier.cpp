@@ -55,6 +55,9 @@ TEST_F(CheckpointTierTest, DemoteParksMemoryOnDisk) {
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->container, id);
   EXPECT_EQ(report->image_size, idle + mib(2));  // page dump + metadata
+  EXPECT_EQ(report->image_size,
+            engine_.cost_model().checkpoint_estimate(idle, c->spec)
+                .image_size);  // the estimate the drivers' gates use
   EXPECT_GT(report->duration, kZeroDuration);
 
   // The resident set paged out: RAM down by idle_memory, disk up by the
@@ -77,6 +80,7 @@ TEST_F(CheckpointTierTest, RestoreRevivesWarmAndReReservesMemory) {
   sim_.run();
 
   std::optional<LaunchReport> restored;
+  const TimePoint t0 = sim_.now();
   engine_.restore_container(id, [&](Result<LaunchReport> r) {
     restored = r.value();
   });
@@ -84,9 +88,12 @@ TEST_F(CheckpointTierTest, RestoreRevivesWarmAndReReservesMemory) {
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->container, id);
   EXPECT_GT(restored->breakdown.attach, kZeroDuration);
-  // Restore beats the cold start it replaces.
-  EXPECT_LT(restored->breakdown.total(),
-            engine_.estimate_startup(python_spec()).total());
+  // Restore beats the cold start it replaces, on the report and on the
+  // virtual clock alike: strictly between zero and a cold launch.
+  const Duration cold = engine_.estimate_startup(python_spec()).total();
+  EXPECT_LT(restored->breakdown.total(), cold);
+  EXPECT_GT(sim_.now() - t0, kZeroDuration);
+  EXPECT_LT(sim_.now() - t0, cold);
 
   const Container* c = engine_.find(id);
   ASSERT_NE(c, nullptr);
@@ -149,6 +156,7 @@ TEST_F(CheckpointTierTest, DiscardCheckpointedReleasesEverything) {
   EXPECT_TRUE(done);
   EXPECT_EQ(engine_.find(id), nullptr);
   EXPECT_EQ(engine_.checkpointed_count(), 0u);
+  EXPECT_EQ(engine_.checkpointed_disk_used(), 0u);  // the dump is gone
   EXPECT_EQ(engine_.memory_used(), baseline);  // no leak either way
 
   // Discarding anything not parked in the tier is an error, not a wipe.

@@ -1,4 +1,7 @@
-// Checkpoint/restore extension tests (engine + controller).
+// Checkpoint/restore tests (engine + controller) on the one checkpoint
+// mechanism: demote() dumps an Idle runtime, restore_container() revives it
+// warm, discard_checkpointed() drops the dump, and the controller reaches
+// them through the snapshot tier (DESIGN.md §16).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -33,6 +36,15 @@ class CheckpointEngineTest : public ::testing::Test {
     return id;
   }
 
+  void demote(engine::ContainerId id) {
+    bool ok = false;
+    engine_.demote(id, [&](Result<engine::ContainerEngine::DemoteReport> r) {
+      ok = r.ok();
+    });
+    sim_.run();
+    ASSERT_TRUE(ok);
+  }
+
   sim::Simulator sim_;
   engine::ContainerEngine engine_;
 };
@@ -41,23 +53,14 @@ TEST_F(CheckpointEngineTest, CheckpointAndRestoreKeepsWarmState) {
   const auto app = engine::apps::v3_app();
   const auto id = launch_and_warm(app);
 
-  std::optional<engine::ContainerEngine::CheckpointId> ckpt;
-  engine_.checkpoint(id, [&](Result<engine::ContainerEngine::CheckpointId> r) {
-    ckpt = r.value();
-  });
-  sim_.run();
-  ASSERT_TRUE(ckpt.has_value());
-  EXPECT_EQ(engine_.checkpoint_count(), 1u);
-  EXPECT_GT(engine_.checkpoint_disk_used(), 0);
-
-  // Kill the original container entirely.
-  engine_.stop_and_remove(id, [](Result<bool>) {});
-  sim_.run();
+  demote(id);
+  EXPECT_EQ(engine_.checkpointed_count(), 1u);
+  EXPECT_GT(engine_.checkpointed_disk_used(), 0);
   EXPECT_EQ(engine_.live_count(), 0u);
 
-  // Restore: a new container appears Idle, already warm for the app.
+  // Restore: the container comes back Idle, already warm for the app.
   std::optional<engine::LaunchReport> restored;
-  engine_.restore(*ckpt, [&](Result<engine::LaunchReport> r) {
+  engine_.restore_container(id, [&](Result<engine::LaunchReport> r) {
     restored = r.value();
   });
   sim_.run();
@@ -71,20 +74,17 @@ TEST_F(CheckpointEngineTest, CheckpointAndRestoreKeepsWarmState) {
   engine_.exec(restored->container, app,
                [&](Result<engine::ExecReport> r) { exec = r.value(); });
   sim_.run();
+  ASSERT_TRUE(exec.has_value());
   EXPECT_TRUE(exec->app_was_warm);  // no model reload after restore
 }
 
 TEST_F(CheckpointEngineTest, RestoreFasterThanColdSlowerThanNothing) {
   const auto app = engine::apps::v3_app();
   const auto id = launch_and_warm(app);
-  std::optional<engine::ContainerEngine::CheckpointId> ckpt;
-  engine_.checkpoint(id, [&](Result<engine::ContainerEngine::CheckpointId> r) {
-    ckpt = r.value();
-  });
-  sim_.run();
+  demote(id);
 
   const TimePoint t0 = sim_.now();
-  engine_.restore(*ckpt, [](Result<engine::LaunchReport>) {});
+  engine_.restore_container(id, [](Result<engine::LaunchReport>) {});
   sim_.run();
   const Duration restore_cost = sim_.now() - t0;
   const Duration cold_cost =
@@ -103,7 +103,7 @@ TEST_F(CheckpointEngineTest, CannotCheckpointBusyContainer) {
   sim_.run();
   engine_.exec(id, engine::apps::v3_app(), [](Result<engine::ExecReport>) {});
   bool failed = false;
-  engine_.checkpoint(id, [&](Result<engine::ContainerEngine::CheckpointId> r) {
+  engine_.demote(id, [&](Result<engine::ContainerEngine::DemoteReport> r) {
     failed = !r.ok();
     EXPECT_EQ(r.error().code, "engine.not_checkpointable");
   });
@@ -113,23 +113,30 @@ TEST_F(CheckpointEngineTest, CannotCheckpointBusyContainer) {
 
 TEST_F(CheckpointEngineTest, RestoreUnknownCheckpointFails) {
   bool failed = false;
-  engine_.restore(42, [&](Result<engine::LaunchReport> r) {
+  engine_.restore_container(42, [&](Result<engine::LaunchReport> r) {
     failed = !r.ok();
-    EXPECT_EQ(r.error().code, "engine.unknown_checkpoint");
+    EXPECT_EQ(r.error().code, "engine.unknown_container");
   });
   EXPECT_TRUE(failed);
 }
 
 TEST_F(CheckpointEngineTest, DropCheckpointFreesDisk) {
   const auto id = launch_and_warm(engine::apps::qr_encoder());
-  std::optional<engine::ContainerEngine::CheckpointId> ckpt;
-  engine_.checkpoint(id, [&](Result<engine::ContainerEngine::CheckpointId> r) {
-    ckpt = r.value();
+  demote(id);
+  ASSERT_GT(engine_.checkpointed_disk_used(), 0);
+
+  std::optional<bool> dropped;
+  engine_.discard_checkpointed(id, [&](Result<bool> r) {
+    dropped = r.ok() && r.value();
   });
   sim_.run();
-  EXPECT_TRUE(engine_.drop_checkpoint(*ckpt));
-  EXPECT_FALSE(engine_.drop_checkpoint(*ckpt));
-  EXPECT_EQ(engine_.checkpoint_disk_used(), 0);
+  EXPECT_EQ(dropped, true);
+  // A second drop of the same dump fails: it is gone, not re-dropped.
+  bool failed = false;
+  engine_.discard_checkpointed(id, [&](Result<bool> r) { failed = !r.ok(); });
+  sim_.run();
+  EXPECT_TRUE(failed);
+  EXPECT_EQ(engine_.checkpointed_disk_used(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,17 +147,22 @@ class CheckpointControllerTest : public ::testing::Test {
     engine_.preload_image(python_spec().image);
   }
 
+  static ControllerOptions retiring_options() {
+    ControllerOptions opt;
+    // Forecast 0 so the adaptive tick retires the pooled runtime.
+    opt.predictor_factory = [] {
+      return std::make_unique<predict::ConstantPredictor>(0.0);
+    };
+    return opt;
+  }
+
   sim::Simulator sim_;
   engine::ContainerEngine engine_;
 };
 
 TEST_F(CheckpointControllerTest, RetireDumpsAndMissRestores) {
-  ControllerOptions opt;
-  opt.use_checkpoint_restore = true;
-  // Forecast 0 so the adaptive tick retires the pooled runtime.
-  opt.predictor_factory = [] {
-    return std::make_unique<predict::ConstantPredictor>(0.0);
-  };
+  ControllerOptions opt = retiring_options();
+  opt.tiering.enabled = true;
   HotCController ctl(engine_, opt);
   const auto app = engine::apps::v3_app();
 
@@ -162,12 +174,13 @@ TEST_F(CheckpointControllerTest, RetireDumpsAndMissRestores) {
   sim_.run();
   EXPECT_EQ(engine_.live_count(), 0u);
   EXPECT_EQ(ctl.stats().checkpoints, 1u);
-  EXPECT_EQ(engine_.checkpoint_count(), 1u);
+  EXPECT_EQ(engine_.checkpointed_count(), 1u);
 
   std::optional<RequestOutcome> second;
   ctl.handle(python_spec(), app,
              [&](Result<RequestOutcome> r) { second = r.value(); });
   sim_.run();
+  ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_TRUE(second->restored);
   EXPECT_FALSE(second->reused);
@@ -179,37 +192,14 @@ TEST_F(CheckpointControllerTest, RetireDumpsAndMissRestores) {
 }
 
 TEST_F(CheckpointControllerTest, DisabledByDefault) {
-  ControllerOptions opt;
-  opt.predictor_factory = [] {
-    return std::make_unique<predict::ConstantPredictor>(0.0);
-  };
-  HotCController ctl(engine_, opt);
+  HotCController ctl(engine_, retiring_options());
   ctl.handle(python_spec(), engine::apps::qr_encoder(),
              [](Result<RequestOutcome>) {});
   sim_.run();
   ctl.adaptive_tick();
   sim_.run();
-  EXPECT_EQ(engine_.checkpoint_count(), 0u);
+  EXPECT_EQ(engine_.checkpointed_count(), 0u);
   EXPECT_EQ(ctl.stats().checkpoints, 0u);
-}
-
-TEST_F(CheckpointControllerTest, CheckpointTakenOncePerKey) {
-  ControllerOptions opt;
-  opt.use_checkpoint_restore = true;
-  opt.predictor_factory = [] {
-    return std::make_unique<predict::ConstantPredictor>(0.0);
-  };
-  HotCController ctl(engine_, opt);
-  const auto app = engine::apps::qr_encoder();
-  for (int round = 0; round < 3; ++round) {
-    ctl.handle(python_spec(), app, [](Result<RequestOutcome>) {});
-    sim_.run();
-    ctl.adaptive_tick();
-    sim_.run();
-  }
-  EXPECT_EQ(ctl.stats().checkpoints, 1u);
-  EXPECT_EQ(engine_.checkpoint_count(), 1u);
-  EXPECT_EQ(ctl.stats().restores, 2u);  // rounds 2 and 3 restored
 }
 
 }  // namespace

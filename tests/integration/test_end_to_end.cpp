@@ -181,20 +181,23 @@ namespace hotc {
 namespace {
 
 TEST(EndToEnd, AllExtensionsTogether) {
-  // Subset key + pause + checkpoint/restore + meta predictor, all on at
+  // Subset key + pause + the snapshot tier + meta predictor, all on at
   // once, over mixed traffic: the combination must stay correct, not just
-  // each feature alone.
+  // each feature alone.  The idle cap retires through demote_entry, and
+  // paused entries must skip the tier (the engine demotes Idle only).
   faas::PlatformOptions opt;
   opt.policy = faas::PolicyKind::kHotC;
   opt.hotc.use_subset_key = true;
   opt.hotc.pause_idle_after = minutes(2);
-  opt.hotc.use_checkpoint_restore = true;
+  opt.hotc.tiering.enabled = true;
   opt.hotc.idle_cap = minutes(4);
   opt.hotc.predictor_factory = predict::make_meta_predictor;
   faas::FaasPlatform platform(opt);
 
+  // Sparse enough that some runtimes idle past the pause point and then
+  // reach the idle cap while paused.
   Rng rng(88);
-  const auto arrivals = workload::poisson(0.3, minutes(30), rng, 8, 0.5);
+  const auto arrivals = workload::poisson(0.1, minutes(30), rng, 8, 0.5);
   const auto mix = workload::ConfigMix::qr_web_service(8);
   const auto recorder = platform.run(arrivals, mix);
 
@@ -207,6 +210,19 @@ TEST(EndToEnd, AllExtensionsTogether) {
   EXPECT_EQ(platform.engine().idle_count() +
                 platform.hotc_controller()->runtime_pool().paused_count(),
             platform.hotc_controller()->runtime_pool().total_available());
+  // The tier served misses, and its ledger balances: every demotion was
+  // restored, evicted or is still parked on disk.
+  EXPECT_GT(stats.restores, 0u);
+  const snapshot::CheckpointStore* store =
+      platform.hotc_controller()->checkpoint_store();
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->restores(), stats.restores);
+  EXPECT_EQ(store->demotes(),
+            store->restores() + store->evictions() + store->entries());
+  EXPECT_EQ(platform.engine().checkpointed_count(), store->entries());
+  // Every dump the controller started reached the store: no demote failed
+  // on a paused container.
+  EXPECT_EQ(stats.checkpoints, store->demotes() + store->rejected());
 }
 
 TEST(EndToEnd, SoakFiftyThousandRequests) {

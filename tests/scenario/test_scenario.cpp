@@ -101,6 +101,11 @@ TEST(Scenario, ValidationErrors) {
                 .error()
                 .code,
             "scenario.bad_predictor");
+  const auto unknown = parse_scenario_text(
+      R"({"hotc": {"prewam": false},
+          "workload": {"pattern": "serial"}})");
+  EXPECT_EQ(unknown.error().code, "scenario.unknown_option");
+  EXPECT_NE(unknown.error().message.find("prewam"), std::string::npos);
   EXPECT_EQ(parse_scenario_text(
                 R"({"workload": {"pattern": "tidal"}})")
                 .error()

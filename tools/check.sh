@@ -30,7 +30,7 @@ ctest --test-dir "$ROOT/build" -L analyze --output-on-failure -j "$JOBS"
   --baseline "$ROOT/tools/analyze/baseline.txt" \
   --report "$ROOT/build/analyze_report.json"
 
-step "smoke bench: pool + fig15 + sharing + diagnosis + prof + tiering + blackbox + hotc_top/prof"
+step "smoke bench: pool + fig15 + sharing + diagnosis + prof + tiering + blackbox + ablation + hotc_top/prof"
 SMOKE_DIR="$(mktemp -d)"
 HOTC_SMOKE=1 HOTC_BENCH_DIR="$SMOKE_DIR" \
   "$ROOT/build/bench/bench_pool_concurrency" >/dev/null
@@ -46,6 +46,9 @@ HOTC_SMOKE=1 HOTC_BENCH_DIR="$SMOKE_DIR" \
   "$ROOT/build/bench/bench_tiering" >/dev/null
 HOTC_SMOKE=1 HOTC_BENCH_DIR="$SMOKE_DIR" \
   "$ROOT/build/bench/bench_blackbox" >/dev/null
+# Ablation table, incl. the idle-handling row that runs through the
+# snapshot tier (retire to disk at a 2-min idle cap).
+"$ROOT/build/bench/bench_ablation_pool" >/dev/null
 "$ROOT/build/examples/scenario_runner" \
   "$ROOT/examples/scenarios/memory_pressure.json" >/dev/null
 HOTC_BENCH_DIR="$SMOKE_DIR" "$ROOT/build/tools/hotc_top" steady >/dev/null
